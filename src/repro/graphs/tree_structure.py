@@ -23,6 +23,17 @@ This matters because the paper repeatedly observes (e.g. Observation 5.3)
 that these predicates are computable from O(1)- or O(k)-radius views; using
 one implementation guarantees our algorithms check exactly what the
 checkers check.
+
+**Snapshot rule.**  An :class:`InstanceTopology` memoizes each node's
+Definition 3.3 ``is_internal`` answer for its own lifetime, so a local
+solve classifies every node once however many predicates ask.  The memo
+is a snapshot: do not mutate an instance (graph or labeling) while
+holding a topology over it — build a fresh topology after the change.
+Only an instance topology memoizes.  ``LocalityGuard`` must see every
+read to certify locality, and ``ProbeTopology`` reads are chargeable
+queries, so both keep doing every read.  The memo is chosen by type:
+:func:`is_internal` consults it only on an :class:`InstanceTopology`,
+never on a wrapper that merely forwards its attributes.
 """
 
 from __future__ import annotations
@@ -51,10 +62,15 @@ class Topology(Protocol):
 
 
 class InstanceTopology:
-    """Instance-backed :class:`Topology` with free lookups."""
+    """Instance-backed :class:`Topology` with free lookups.
+
+    ``internal`` memoizes :func:`is_internal` per node (see the snapshot
+    rule in the module docstring).
+    """
 
     def __init__(self, instance: Instance) -> None:
         self._instance = instance
+        self.internal: Dict[int, bool] = {}
 
     def label(self, node_id: int) -> NodeLabel:
         return self._instance.label(node_id)
@@ -92,8 +108,19 @@ def is_internal(t: Topology, v: int) -> bool:
     """Definition 3.3: ``v`` is internal.
 
     Requires reciprocated left/right children, distinct child ports, and a
-    parent port distinct from both child ports.
+    parent port distinct from both child ports.  On an
+    :class:`InstanceTopology`, answered from its ``internal`` memo.
     """
+    if not isinstance(t, InstanceTopology):
+        return _internal(t, v)
+    memo = t.internal
+    known = memo.get(v)
+    if known is None:
+        known = memo[v] = _internal(t, v)
+    return known
+
+
+def _internal(t: Topology, v: int) -> bool:
     lab = t.label(v)
     if lab.left_child is None or lab.right_child is None:
         return False

@@ -227,11 +227,14 @@ class BalancedTree(LCLProblem):
 
 def compatibility_map(instance: Instance) -> Dict[int, Optional[bool]]:
     """Per-node compatibility (None for inconsistent nodes)."""
-    t = InstanceTopology(instance)
-    result: Dict[int, Optional[bool]] = {}
-    for v in instance.graph.nodes():
-        result[v] = is_compatible(t, v) if is_consistent(t, v) else None
-    return result
+    return _compatibility(InstanceTopology(instance), instance)
+
+
+def _compatibility(t: Topology, instance: Instance) -> Dict[int, Optional[bool]]:
+    return {
+        v: is_compatible(t, v) if is_consistent(t, v) else None
+        for v in instance.graph.nodes()
+    }
 
 
 def reference_solution(instance: Instance) -> Dict[int, object]:
@@ -243,7 +246,7 @@ def reference_solution(instance: Instance) -> Dict[int, object]:
     as in the Proposition 4.8 algorithm.
     """
     t = InstanceTopology(instance)
-    compat = compatibility_map(instance)
+    compat = _compatibility(t, instance)
     tainted: Dict[int, bool] = {}
 
     def has_bad_below(v: int, stack: frozenset) -> bool:

@@ -170,6 +170,12 @@ class ReproService:
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._registry_body: Optional[bytes] = None
+        # Open connections: handler task -> its stream writer while it
+        # waits for a request, None while it answers one.
+        self._connections: Dict[
+            asyncio.Task, Optional[asyncio.StreamWriter]
+        ] = {}
+        self._stopping = False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -186,16 +192,31 @@ class ReproService:
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+        # Fail queued jobs (503) and finish the in-flight batch while
+        # the connections are still open, so their answers arrive.
+        await self.scheduler.close()
+        # Then end every connection: idle keep-alive handlers read EOF,
+        # busy ones return after their answer.  A handler still pending
+        # at loop teardown would be cancelled there, which asyncio logs
+        # as an unhandled CancelledError.
+        self._stopping = True
+        for writer in self._connections.values():
+            if writer is not None:
+                writer.close()
+        if self._connections:
+            await asyncio.wait(list(self._connections))
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        await self.scheduler.close()
 
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
+        task = asyncio.current_task()
         try:
-            while True:
+            while not self._stopping:
+                self._connections[task] = writer  # idle: stop() closes it
                 try:
                     request = await read_request(reader)
                 except HttpProtocolError as exc:
@@ -206,15 +227,18 @@ class ReproService:
                     return
                 if request is None:
                     return
+                self._connections[task] = None  # busy: stop() lets it answer
                 response = await self._dispatch(request)
                 self.stats.count("responses", response.status)
-                writer.write(response.encode(keep_alive=request.keep_alive))
+                keep_alive = request.keep_alive and not self._stopping
+                writer.write(response.encode(keep_alive=keep_alive))
                 await writer.drain()
-                if not request.keep_alive:
+                if not keep_alive:
                     return
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            self._connections.pop(task, None)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -6,7 +6,15 @@ admission queue spin their own configured :class:`ServerThread`.
 """
 
 import json
+import logging
+import os
+import re
+import select
+import signal
 import socket
+import subprocess
+import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -310,3 +318,111 @@ class TestStoreBacked:
             time.sleep(0.02)
         assert retry_headers["x-repro-store"] == "hit"
         assert json.loads(body)["valid"] is True
+
+
+class TestShutdown:
+    """Stopping is clean with idle, busy and queued connections."""
+
+    @staticmethod
+    def idle_keep_alive(address):
+        sock = socket.create_connection(address)
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        sock.settimeout(10)
+        assert sock.recv(4096).startswith(b"HTTP/1.1 200")
+        return sock  # the handler now waits for a next request
+
+    def test_stop_logs_nothing_unhandled(self, caplog):
+        thread = ServerThread(ServeConfig(port=0))
+        thread.start()
+        sock = self.idle_keep_alive(thread.address)
+        try:
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                thread.stop()
+            # The server closed the idle connection: EOF, not a hang.
+            assert sock.recv(4096) == b""
+        finally:
+            sock.close()
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == []
+
+    def test_stop_fails_queued_and_answers_in_flight(self):
+        thread = ServerThread(ServeConfig(port=0))
+        thread.start()
+        scheduler = thread.service.scheduler
+        started, release, never = (threading.Event() for _ in range(3))
+        run_job = scheduler._run_job
+
+        def held(job):
+            if not started.is_set():
+                started.set()
+                release.wait(30)
+            else:
+                never.wait(30)  # a queued job that ran would hold stop()
+            return run_job(job)
+
+        scheduler._run_job = held
+        client = Client(thread.address)
+        stopper = threading.Thread(target=thread.stop)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            try:
+                first = pool.submit(client.post, "/solve", fresh(SOLVE, 1))
+                assert started.wait(10)
+                second = pool.submit(client.post, "/solve", fresh(SOLVE, 2))
+                assert wait_for(lambda: scheduler.queue_depth == 1)
+                stopper.start()
+                # close() fails the queued job before it waits for the
+                # in-flight batch, which then may finish.
+                drained = wait_for(lambda: scheduler.queue_depth == 0)
+                release.set()
+                stopper.join(timeout=10)
+                stopped = not stopper.is_alive()
+            finally:
+                release.set()
+                never.set()
+                if stopper.ident is None:
+                    thread.stop()
+                else:
+                    stopper.join()
+            assert drained and stopped
+            assert first.result()[0] == 200
+            assert second.result()[0] == 503
+
+    @pytest.mark.slow
+    def test_sigint_exits_zero_without_traceback(self):
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(sys.path),
+            "PYTHONUNBUFFERED": "1",  # the banner line, promptly
+        }
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--backend", "serial"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 30)
+            assert ready, "no banner within 30 s"
+            banner = proc.stdout.readline()
+            host, port = re.search(r"http://([\d.]+):(\d+)", banner).groups()
+            sock = self.idle_keep_alive((host, int(port)))
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+            sock.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0
+        assert "shutting down" in out
+        assert "Traceback" not in err and "CancelledError" not in err
+
+
+def wait_for(condition, timeout=10.0):
+    """Poll ``condition`` until it holds; False if it never did."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
