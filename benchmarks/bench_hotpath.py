@@ -22,9 +22,10 @@ stacked on top of them:
 * ``trial_batch`` — a fixed-instance Monte-Carlo trial batch on the
   serial backend vs both process-pool transports;
 * ``fault_recovery`` — the cost of the PR 8 supervision layer: the same
-  pooled workload with supervision off vs on (gated: < 5% overhead when
-  nothing fails) and the wall-time of recovering from one injected
-  worker kill, cross-checked bitwise against the serial run.
+  pooled workload through a bare fire-and-gather loop vs the supervised
+  dispatch (gated: < 5% overhead when nothing fails) and the wall-time
+  of recovering from one injected worker kill, cross-checked bitwise
+  against the serial run.
 
 Speedup conventions: every row's ``speedup`` is measured against the
 *compiled scalar serial* run of the same workload (the pre-PR-6 state of
@@ -484,19 +485,23 @@ def bench_fault_recovery(repeats: int) -> Dict[str, object]:
     """What supervision costs when nothing fails, and when one thing does.
 
     The supervised dispatch loop (per-chunk timeouts, failure
-    classification, retry bookkeeping) wraps every pooled run since
-    PR 8, so its no-fault overhead is gated below 5% of the
-    unsupervised path on the same workload.  The recovery row then
-    injects exactly one ``kill-worker`` fault and reports the wall-time
-    of detecting the dead pool, respawning it, and re-dispatching only
-    the lost chunks — cross-checked bitwise against the serial run.
+    classification, retry bookkeeping) wraps every pooled run, so its
+    no-fault overhead is gated below 5% of a bare fire-and-gather loop
+    on the same workload: the same instance, chunk partition, pool and
+    ``_run_chunk_shm`` workers, published once, every chunk submitted,
+    gathered in order, unpublished.  The recovery row then injects
+    exactly one ``kill-worker`` fault and reports the wall-time of
+    detecting the dead pool, respawning it, and re-dispatching only the
+    lost chunks — cross-checked bitwise against the serial run.
     """
     import random
 
     from repro.algorithms.leaf_coloring_algs import RWtoLeaf
+    from repro.exec.backends import _run_chunk_shm
     from repro.faults.plan import FaultInjector, FaultPlan
     from repro.faults.retry import RetryPolicy
     from repro.graphs.generators import leaf_coloring_instance
+    from repro.model.implicit import iter_node_ids
 
     # Big enough that a run takes tens of milliseconds: the overhead
     # gate compares two wall-times whose difference is microseconds of
@@ -506,27 +511,36 @@ def bench_fault_recovery(repeats: int) -> Dict[str, object]:
     repeats = max(5, repeats)
     serial_run = run_algorithm(instance, algorithm, seed=7)
 
-    def pooled(supervised: bool, injector=None):
+    def pooled(injector=None):
         return ProcessPoolBackend(
             workers=2,
             shared_memory=True,
-            supervised=supervised,
             fault_injector=injector,
             retry=RetryPolicy(base_delay=0.01, max_delay=0.05),
         )
 
-    with pooled(supervised=False) as pool:
-        baseline = run_algorithm(instance, algorithm, seed=7, backend=pool)
+    def bare_run(pool):
+        chunks = pool._chunk(list(iter_node_ids(instance)))
+        handle = shm.publish_instance(instance)
+        try:
+            futures = [
+                pool._pool().submit(
+                    _run_chunk_shm,
+                    pickle.dumps((handle, algorithm, chunk, 7, None, None)),
+                )
+                for chunk in chunks
+            ]
+            triples = [t for future in futures for t in future.result()]
+        finally:
+            shm.unpublish(handle)
+        return pool._assemble(instance, algorithm, triples)
+
+    with pooled() as pool:
+        baseline = bare_run(pool)
         assert baseline.outputs == serial_run.outputs
         unsupervised_s = best_of(
-            repeats,
-            lambda: timed(
-                lambda: run_algorithm(
-                    instance, algorithm, seed=7, backend=pool
-                )
-            ),
+            repeats, lambda: timed(lambda: bare_run(pool))
         )
-    with pooled(supervised=True) as pool:
         clean = run_algorithm(instance, algorithm, seed=7, backend=pool)
         assert clean.outputs == serial_run.outputs
         assert len(pool.fault_log) == 0
@@ -550,9 +564,7 @@ def bench_fault_recovery(repeats: int) -> Dict[str, object]:
     )
 
     def killed_run() -> Dict[str, object]:
-        with pooled(
-            supervised=True, injector=FaultInjector(one_kill)
-        ) as pool:
+        with pooled(FaultInjector(one_kill)) as pool:
             result = run_algorithm(
                 instance, algorithm, seed=7, backend=pool
             )

@@ -55,8 +55,8 @@ to the scalar serial semantics, both enforced by the equivalence suites):
   pickle path bit-for-bit; the segment is unlinked in a ``finally`` on
   every dispatch, with an ``atexit`` backstop.
 
-Fault tolerance: :class:`ProcessPoolBackend` dispatches are *supervised*
-by default — per-chunk timeouts, worker-crash detection, and a
+Fault tolerance: every :class:`ProcessPoolBackend` dispatch is
+*supervised* — per-chunk timeouts, worker-crash detection, and a
 :class:`~repro.faults.retry.RetryPolicy` that re-dispatches only the
 lost chunks, degrading each chunk along the documented chain
 shm → pickle transport → serial in-process when retries keep failing.
@@ -274,19 +274,22 @@ def _trial_outcomes(
     return outcomes
 
 
-def _run_trials(payload: bytes) -> List[TrialOutcome]:
-    """Worker entry point: a chunk of independent success trials."""
-    (
-        problem,
-        instance_factory,
-        algorithm,
-        trial_indices,
-        base_seed,
-        max_volume,
-        max_queries,
-        compiled,
-    ) = pickle.loads(payload)
-    # Amortize oracle compilation if the factory repeats an instance.
+def _batched_trial_outcomes(
+    problem,
+    instance_factory,
+    algorithm: ProbeAlgorithm,
+    trial_indices: Sequence[int],
+    base_seed: int,
+    max_volume: Optional[int],
+    max_queries: Optional[int],
+    compiled: bool,
+) -> List[TrialOutcome]:
+    """The trial loop on a transient :class:`BatchBackend`.
+
+    A fixed-instance factory (the Proposition 3.12 shape) would
+    otherwise recompile the same instance every trial; the batch
+    backend compiles each distinct instance once.
+    """
     with BatchBackend(compiled=compiled) as backend:
         return _trial_outcomes(
             backend,
@@ -298,6 +301,11 @@ def _run_trials(payload: bytes) -> List[TrialOutcome]:
             max_volume,
             max_queries,
         )
+
+
+def _run_trials(payload: bytes) -> List[TrialOutcome]:
+    """Worker entry point: a chunk of independent success trials."""
+    return _batched_trial_outcomes(*pickle.loads(payload))
 
 
 def _run_trials_shm(payload: bytes) -> List[TrialOutcome]:
@@ -499,23 +507,17 @@ class SerialBackend(ExecutionBackend):
         max_volume: Optional[int] = None,
         max_queries: Optional[int] = None,
     ) -> List[TrialOutcome]:
-        """Trial batch with the oracle compiled once per batch.
-
-        A fixed-instance factory (the Proposition 3.12 shape) would
-        otherwise recompile the same instance every trial; routing the
-        batch through a transient :class:`BatchBackend` compiles it once.
-        """
-        with BatchBackend(compiled=self.compiled) as batch:
-            return _trial_outcomes(
-                batch,
-                problem,
-                instance_factory,
-                algorithm,
-                list(trial_indices),
-                base_seed,
-                max_volume,
-                max_queries,
-            )
+        """Trial batch with the oracle compiled once per batch."""
+        return _batched_trial_outcomes(
+            problem,
+            instance_factory,
+            algorithm,
+            list(trial_indices),
+            base_seed,
+            max_volume,
+            max_queries,
+            self.compiled,
+        )
 
     def _oracle_for(self, instance):
         return _make_oracle(instance, self.compiled)
@@ -650,11 +652,10 @@ class ProcessPoolBackend(ExecutionBackend):
     bit-for-bit (results are identical either way — only the transport
     differs); the reference path (``compiled=False``) always pickles.
 
-    Supervision (``supervised=True``, the default): each dispatch tracks
-    its chunks individually, detects crashed workers
-    (``BrokenProcessPool``), hung chunks (``timeout`` seconds per chunk,
-    off by default), and corrupt payloads, and re-dispatches *only the
-    lost chunks* under ``retry`` (a :class:`~repro.faults.retry.RetryPolicy`;
+    Supervision: each dispatch tracks its chunks individually, detects
+    crashed workers (``BrokenProcessPool``), hung chunks (``timeout``
+    seconds per chunk, off by default), and corrupt payloads, and
+    re-dispatches *only the lost chunks* under ``retry`` (a :class:`~repro.faults.retry.RetryPolicy`;
     backoff jitter is seeded from the dispatch seed, so reruns wait the
     exact same schedule).  A chunk that keeps failing degrades
     shm → pickle transport → serial in-process; the serial stage always
@@ -663,9 +664,6 @@ class ProcessPoolBackend(ExecutionBackend):
     they are usually deterministic, and serial reproduces the real
     traceback.  Every handled failure is recorded in :attr:`fault_log`
     (a snapshot rides on each :class:`~repro.model.runner.RunResult`).
-    ``supervised=False`` restores the bare gather loop (no timeouts, no
-    retries, first worker exception propagates) — the zero-overhead
-    baseline the bench suite compares against.
 
     ``fault_injector`` (a :class:`~repro.faults.plan.FaultInjector`) is
     the chaos-harness hook: ``None`` (the default) costs one ``is None``
@@ -682,7 +680,6 @@ class ProcessPoolBackend(ExecutionBackend):
         shared_memory: bool = True,
         timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
-        supervised: bool = True,
         fault_injector=None,
     ) -> None:
         if workers is not None and workers < 1:
@@ -697,7 +694,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self.shared_memory = shared_memory
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
-        self.supervised = supervised
         #: Everything supervision handled over this backend's lifetime;
         #: per-dispatch snapshots ride on the results themselves.
         self.fault_log = FaultLog()
@@ -733,7 +729,7 @@ class ProcessPoolBackend(ExecutionBackend):
             except Exception:
                 pass
 
-    def _dispatch_supervised(
+    def _supervise(
         self,
         scope: str,
         chunks: List[list],
@@ -890,6 +886,80 @@ class ProcessPoolBackend(ExecutionBackend):
         return results
 
     # ------------------------------------------------------------------
+    def _fan_out(
+        self,
+        kind: str,
+        items: list,
+        shared,
+        shm_args: Callable[[object, list], tuple],
+        pickle_args: Callable[[list], tuple],
+        workers_map: Dict[str, Callable[[bytes], list]],
+        serial_chunk: Callable[[list], list],
+        seed: int,
+    ) -> list:
+        """Chunk ``items``, dispatch the chunks, merge results in order.
+
+        The one fan-out path behind :meth:`run` (``kind="run"``) and
+        :meth:`run_trial_batch` (``kind="trials"``).  ``shared`` is the
+        instance every chunk reads (``None`` if there is none); it is
+        published once to shared memory when the transport allows, and
+        chunks then carry ``shm_args(handle, chunk)``, else
+        ``pickle_args(chunk)``.  One worker or one chunk, or a payload
+        that will not pickle (local classes, lambdas), runs
+        ``serial_chunk`` over all items in-process instead: the pool is
+        an optimization, not a requirement.
+        """
+        chunks = self._chunk(items)
+        serial = self.workers == 1 or len(chunks) <= 1
+        # A run numbers every call, a trial batch only one that fans out:
+        # FaultPlan.draw keys on the scope, so these points are part of
+        # every chaos schedule.
+        if kind == "run" or not serial:
+            self._dispatches += 1
+        if serial:
+            return serial_chunk(items)
+        scope = f"{kind}:{self._dispatches}"
+        handle = None
+        if (
+            self.shared_memory
+            and self.compiled
+            and shared is not None
+            # An InstanceSpec is already an O(1) payload — pickling it
+            # per chunk beats publishing (there is no graph to share);
+            # each worker serves its chunk from its own ImplicitOracle.
+            and not isinstance(shared, InstanceSpec)
+        ):
+            handle = self._publish(shared, scope)
+        if handle is not None:
+            try:
+                payloads = [pickle.dumps(shm_args(handle, c)) for c in chunks]
+            except Exception:
+                # Unpicklable work: the shm path cannot help either;
+                # drop the segment and try the pickle transport.
+                self._unpublish(handle)
+                handle = None
+        if handle is None:
+            try:
+                payloads = [pickle.dumps(pickle_args(c)) for c in chunks]
+            except Exception:
+                return serial_chunk(items)
+        try:
+            results = self._supervise(
+                scope,
+                chunks,
+                "pickle" if handle is None else "shm",
+                payloads,
+                workers_map,
+                lambda chunk: pickle.dumps(pickle_args(chunk)),
+                serial_chunk,
+                seed,
+            )
+        finally:
+            if handle is not None:
+                self._unpublish(handle)
+        # submission order == item order
+        return [out for chunk in results for out in chunk]
+
     def run(
         self,
         instance,
@@ -900,70 +970,7 @@ class ProcessPoolBackend(ExecutionBackend):
         max_volume: Optional[int] = None,
         max_queries: Optional[int] = None,
     ) -> RunResult:
-        node_list = self._resolve_nodes(instance, nodes)
-        chunks = self._chunk(node_list)
-        serial = self.workers == 1 or len(chunks) <= 1
-        self._dispatches += 1
-        scope = f"run:{self._dispatches}"
         mark = len(self.fault_log)
-        handle = None
-        payloads: List[bytes] = []
-        if (
-            not serial
-            and self.shared_memory
-            and self.compiled
-            # An InstanceSpec is already an O(1) payload — pickling it
-            # per chunk beats publishing (there is no graph to share);
-            # each worker serves its chunk from its own ImplicitOracle.
-            and not isinstance(instance, InstanceSpec)
-        ):
-            handle = self._publish(instance, scope)
-        if handle is not None:
-            try:
-                payloads = [
-                    pickle.dumps(
-                        (handle, algorithm, chunk, seed, max_volume,
-                         max_queries)
-                    )
-                    for chunk in chunks
-                ]
-            except Exception:
-                # Unpicklable algorithm: the shm path cannot help either;
-                # drop the segment and try the legacy transport below.
-                self._unpublish(handle)
-                handle = None
-                payloads = []
-        if not serial and handle is None:
-            try:
-                payloads = [
-                    pickle.dumps(
-                        (instance, algorithm, chunk, seed, max_volume,
-                         max_queries, self.compiled)
-                    )
-                    for chunk in chunks
-                ]
-            except Exception:
-                # Unpicklable instance/algorithm (local classes, lambdas):
-                # the parallel path is an optimization, not a requirement.
-                serial = True
-        if serial:
-            triples = _execute_nodes(
-                _make_oracle(instance, self.compiled),
-                algorithm,
-                node_list,
-                seed,
-                max_volume,
-                max_queries,
-                distance_mode="incremental" if self.compiled else "reference",
-            )
-            return self._assemble(instance, algorithm, triples)
-
-        def _pickle_payload(chunk: list) -> bytes:
-            return pickle.dumps(
-                (instance, algorithm, chunk, seed, max_volume,
-                 max_queries, self.compiled)
-            )
-
         oracle_cache: list = []
 
         def _serial_chunk(chunk: list) -> list:
@@ -979,27 +986,21 @@ class ProcessPoolBackend(ExecutionBackend):
                 distance_mode="incremental" if self.compiled else "reference",
             )
 
-        try:
-            if self.supervised:
-                chunk_results = self._dispatch_supervised(
-                    scope,
-                    chunks,
-                    "pickle" if handle is None else "shm",
-                    payloads,
-                    {"shm": _run_chunk_shm, "pickle": _run_chunk},
-                    _pickle_payload,
-                    _serial_chunk,
-                    seed,
-                )
-            else:
-                worker = _run_chunk if handle is None else _run_chunk_shm
-                futures = [self._pool().submit(worker, p) for p in payloads]
-                # submission order == original node order
-                chunk_results = [future.result() for future in futures]
-        finally:
-            if handle is not None:
-                self._unpublish(handle)
-        triples = [t for chunk in chunk_results for t in chunk]
+        triples = self._fan_out(
+            "run",
+            self._resolve_nodes(instance, nodes),
+            instance,
+            lambda handle, chunk: (
+                handle, algorithm, chunk, seed, max_volume, max_queries
+            ),
+            lambda chunk: (
+                instance, algorithm, chunk, seed, max_volume, max_queries,
+                self.compiled,
+            ),
+            {"shm": _run_chunk_shm, "pickle": _run_chunk},
+            _serial_chunk,
+            seed,
+        )
         result = self._assemble(instance, algorithm, triples)
         events = self.fault_log.since(mark)
         if events:
@@ -1022,132 +1023,31 @@ class ProcessPoolBackend(ExecutionBackend):
         Each worker amortizes repeated instances through its own
         :class:`BatchBackend`; trial seeds depend only on the indices, so
         the merged outcome list is identical to the serial one.
+        Fixed-instance trial streams (the Monte-Carlo engine's common
+        shape) share one instance across every trial: it is published
+        once and the chunks carry O(1) handles.
         """
-        indices = list(trial_indices)
-        chunks = self._chunk(indices)
 
-        def _local() -> List[TrialOutcome]:
-            with BatchBackend(compiled=self.compiled) as batch:
-                return _trial_outcomes(
-                    batch,
-                    problem,
-                    instance_factory,
-                    algorithm,
-                    indices,
-                    base_seed,
-                    max_volume,
-                    max_queries,
-                )
-
-        if self.workers == 1 or len(chunks) <= 1:
-            return _local()
-        self._dispatches += 1
-        scope = f"trials:{self._dispatches}"
-        handle = None
-        payloads: List[bytes] = []
-        if (
-            self.shared_memory
-            and self.compiled
-            and isinstance(instance_factory, FixedInstanceFactory)
-            # A fixed *spec* ships as its own O(1) payload (see run()).
-            and not isinstance(instance_factory.instance, InstanceSpec)
-        ):
-            # Fixed-instance trial streams (the Monte-Carlo engine's
-            # common shape) share one instance across every trial:
-            # publish it once, fan out O(1) handles.
-            handle = self._publish(instance_factory.instance, scope)
-        if handle is not None:
-            try:
-                payloads = [
-                    pickle.dumps(
-                        (
-                            handle,
-                            problem,
-                            algorithm,
-                            chunk,
-                            base_seed,
-                            max_volume,
-                            max_queries,
-                        )
-                    )
-                    for chunk in chunks
-                ]
-            except Exception:
-                self._unpublish(handle)
-                handle = None
-                payloads = []
-        if handle is None:
-            try:
-                payloads = [
-                    pickle.dumps(
-                        (
-                            problem,
-                            instance_factory,
-                            algorithm,
-                            chunk,
-                            base_seed,
-                            max_volume,
-                            max_queries,
-                            self.compiled,
-                        )
-                    )
-                    for chunk in chunks
-                ]
-            except Exception:
-                # Unpicklable factory/problem (lambdas, local classes): the
-                # parallel path is an optimization, not a requirement.
-                return _local()
-        def _pickle_payload(chunk: list) -> bytes:
-            return pickle.dumps(
-                (
-                    problem,
-                    instance_factory,
-                    algorithm,
-                    chunk,
-                    base_seed,
-                    max_volume,
-                    max_queries,
-                    self.compiled,
-                )
+        def _pickle_args(chunk: list) -> tuple:
+            return (
+                problem, instance_factory, algorithm, chunk, base_seed,
+                max_volume, max_queries, self.compiled,
             )
 
-        def _serial_chunk(chunk: list) -> List[TrialOutcome]:
-            with BatchBackend(compiled=self.compiled) as batch:
-                return _trial_outcomes(
-                    batch,
-                    problem,
-                    instance_factory,
-                    algorithm,
-                    chunk,
-                    base_seed,
-                    max_volume,
-                    max_queries,
-                )
-
-        try:
-            if self.supervised:
-                chunk_results = self._dispatch_supervised(
-                    scope,
-                    chunks,
-                    "pickle" if handle is None else "shm",
-                    payloads,
-                    {"shm": _run_trials_shm, "pickle": _run_trials},
-                    _pickle_payload,
-                    _serial_chunk,
-                    base_seed,
-                )
-            else:
-                worker = _run_trials if handle is None else _run_trials_shm
-                futures = [self._pool().submit(worker, p) for p in payloads]
-                # submission order == trial index order
-                chunk_results = [future.result() for future in futures]
-        finally:
-            if handle is not None:
-                self._unpublish(handle)
-        outcomes: List[TrialOutcome] = []
-        for chunk in chunk_results:
-            outcomes.extend(chunk)
-        return outcomes
+        fixed = isinstance(instance_factory, FixedInstanceFactory)
+        return self._fan_out(
+            "trials",
+            list(trial_indices),
+            instance_factory.instance if fixed else None,
+            lambda handle, chunk: (
+                handle, problem, algorithm, chunk, base_seed, max_volume,
+                max_queries,
+            ),
+            _pickle_args,
+            {"shm": _run_trials_shm, "pickle": _run_trials},
+            lambda chunk: _batched_trial_outcomes(*_pickle_args(chunk)),
+            base_seed,
+        )
 
     # ------------------------------------------------------------------
     def close(self) -> None:

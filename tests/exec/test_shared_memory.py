@@ -128,6 +128,40 @@ class TestBackendLifecycle:
             )
             assert shm.published_segments() == []
 
+    @pytest.mark.parametrize("shared_memory", [True, False])
+    def test_unpicklable_algorithm_falls_back_in_process(
+        self, shared_memory
+    ):
+        """A payload that cannot pickle runs in-process, bitwise-equal.
+
+        On shm the instance is published before pickling fails, so the
+        fallback must also unpublish it; nothing is a fault either way.
+        """
+
+        class LocalRWtoLeaf(RWtoLeaf):  # local class: unpicklable
+            pass
+
+        algorithm = LocalRWtoLeaf()
+        factory = FixedInstanceFactory(LEAF_INSTANCE)
+        serial = SerialBackend()
+        with ProcessPoolBackend(
+            workers=2, chunk_size=4, shared_memory=shared_memory
+        ) as pool:
+            result = pool.run(LEAF_INSTANCE, algorithm, seed=3)
+            expected = serial.run(LEAF_INSTANCE, algorithm, seed=3)
+            assert result.outputs == expected.outputs
+            assert result.profiles == expected.profiles
+            assert result.fault_log is None
+            assert shm.published_segments() == []
+            outcomes = pool.run_trial_batch(
+                LeafColoring(), factory, algorithm, range(12), base_seed=1
+            )
+            assert outcomes == serial.run_trial_batch(
+                LeafColoring(), factory, algorithm, range(12), base_seed=1
+            )
+            assert shm.published_segments() == []
+            assert len(pool.fault_log) == 0
+
     def test_close_drains_live_handles(self):
         pool = ProcessPoolBackend(workers=2)
         handle = pool._publish(INSTANCE)

@@ -222,20 +222,6 @@ class TestFaultRecovery:
         assert len(pool.fault_log) > 0
         assert chaotic == reference
 
-    def test_unsupervised_mode_still_works(self):
-        instance = _instance(depth=3)
-        serial = run_algorithm(instance, RWtoLeaf(), seed=9)
-        pool = ProcessPoolBackend(
-            workers=2, chunk_size=4, supervised=False
-        )
-        try:
-            parallel = run_algorithm(
-                instance, RWtoLeaf(), seed=9, backend=pool
-            )
-        finally:
-            pool.close()
-        assert_bitwise_equal(serial, parallel)
-
     def test_timeout_validation(self):
         with pytest.raises(ValueError):
             ProcessPoolBackend(timeout=0.0)
