@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
+from repro.model.batched import gather_kernel
 from repro.model.congest import CongestAlgorithm, Message
 from repro.model.oracle import NodeInfo
-from repro.model.probe import ProbeAlgorithm, ProbeView
+from repro.model.probe import CostProfile, ProbeAlgorithm, ProbeView
 from repro.registry import register_algorithm
 
 # Cycle port convention (builders.cycle_graph): 1 = predecessor, 2 = successor.
@@ -243,6 +244,53 @@ class TwoColoringGather(ProbeAlgorithm):
         anchor = min(range(len(ids)), key=lambda i: ids[i])
         # distance from anchor to position 0 going forward
         return (len(ids) - anchor) % 2
+
+    def run_node_batch(self, oracle, nodes):
+        """Walk each successor cycle once; answer its nodes in O(1).
+
+        Every start node on a cycle of length ``L`` walks the same ``L``
+        successor edges in the scalar engine, so its output is fixed by
+        its position relative to the minimum ID, and its profile is
+        ``(L, L // 2, L)`` — the explored subgraph is the cycle itself,
+        collapsed to one edge or a self-loop for ``L <= 2`` (DESIGN.md
+        §9.5).  A dangling or out-of-range successor port, or a walk
+        that closes on some other node (a ρ shape), returns ``None`` so
+        the scalar engine runs instead.
+        """
+        if gather_kernel(oracle) is None:
+            return None
+        resolve = oracle.resolve
+        answers: Dict[int, Tuple[int, int]] = {}  # node -> (output, L)
+        triples = []
+        for node in nodes:
+            answer = answers.get(node)
+            if answer is None:
+                cycle = [node]
+                position = {node: 0}
+                current = resolve(node, _NEXT)
+                while current != node:
+                    if current is None or current in position:
+                        return None
+                    position[current] = len(cycle)
+                    cycle.append(current)
+                    current = resolve(current, _NEXT)
+                length = len(cycle)
+                anchor = min(range(length), key=cycle.__getitem__)
+                for pos, member in enumerate(cycle):
+                    answers[member] = (
+                        (length - (anchor - pos) % length) % 2,
+                        length,
+                    )
+                answer = answers[node]
+            output, length = answer
+            profile = CostProfile(
+                volume=length,
+                distance=length // 2,
+                queries=length,
+                random_bits=0,
+            )
+            triples.append((node, output, profile))
+        return triples
 
 
 @register_algorithm("relay/probe", problem="relay")

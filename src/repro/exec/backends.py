@@ -744,8 +744,10 @@ class ProcessPoolBackend(ExecutionBackend):
 
         The loop is round-based: submit all pending chunks, gather with
         the per-chunk timeout, classify each failure, decide retry vs
-        degrade, reset the pool once per round if it broke, sleep the
-        round's largest due backoff, repeat.  A chunk on the ``serial``
+        degrade, sleep the round's largest due backoff, repeat.  A round
+        that breaks the pool (a crash or a timeout) resets it and is lost
+        whole: results gathered in it are discarded, and every chunk
+        attempted in it records one failure.  A chunk on the ``serial``
         stage executes in-process at the top of the next round — it
         either completes or raises the chunk's real exception to the
         caller (the dispatch's ``finally`` still unpublishes).
@@ -800,15 +802,14 @@ class ProcessPoolBackend(ExecutionBackend):
                     failures.append((idx, "worker-crash", f"submit: {exc}"))
                     continue
                 submitted.append((idx, future))
-            timed_out = False
             for idx, future in submitted:
-                # After the first timeout the round is lost anyway: poll
-                # the rest briefly to salvage chunks that did finish.
-                wait = 0.05 if timed_out else self.timeout
+                if broken:
+                    # The round is lost (see below): stop waiting.
+                    future.cancel()
+                    continue
                 try:
-                    results[idx] = future.result(timeout=wait)
+                    results[idx] = future.result(timeout=self.timeout)
                 except FuturesTimeout:
-                    timed_out = True
                     broken = True
                     future.cancel()
                     failures.append(
@@ -837,6 +838,24 @@ class ProcessPoolBackend(ExecutionBackend):
                     )
             if broken:
                 self._reset_pool()
+                # Which siblings finish before a pool breaks is a race, so
+                # a broken round is lost whole: every chunk attempted in it
+                # records one worker-crash (the chunk whose wait ran out
+                # keeps its timeout) and is retried.  The fault log is then
+                # a pure function of the plan.
+                observed = {
+                    f[0]: f
+                    for f in failures
+                    if f[1] in ("worker-crash", "timeout")
+                }
+                failures = [
+                    observed.get(
+                        idx, (idx, "worker-crash", "pool broke in this round")
+                    )
+                    for idx in pending
+                ]
+                for idx in pending:
+                    results[idx] = None
             pending = []
             round_delay = 0.0
             for idx, kind, detail in failures:

@@ -12,8 +12,9 @@ turns that shape into data:
   nodes, seed, budgets), or an arbitrary ``measure`` callable for
   experiments that are not a single ``run_algorithm`` call;
 * :func:`run_sweep` / :func:`run_sweeps` — execute specs on any
-  :class:`~repro.exec.backends.ExecutionBackend`, with optional on-disk
-  caching (:class:`SweepCache`, keyed by a stable spec hash) and progress
+  :class:`~repro.exec.backends.ExecutionBackend`, executing each distinct
+  run of a batch once, with optional on-disk caching
+  (:class:`SweepCache`, keyed by a stable spec hash) and progress
   reporting;
 * :class:`SweepResult` — the measured points plus the fitted growth
   class, formatted with the same claimed-vs-measured row the benchmark
@@ -183,13 +184,23 @@ class SweepSpec:
         return self.measure_point_detailed(instance, param, backend)[0]
 
     def measure_point_detailed(
-        self, instance, param, backend: ExecutionBackend
+        self,
+        instance,
+        param,
+        backend: ExecutionBackend,
+        runs: Optional[Dict] = None,
     ) -> "Tuple[float, Optional[Dict[str, object]]]":
         """One grid point's cost plus an optional detail record.
 
         Only the ``success_rate`` metric produces a detail (trial count,
         CI bounds, stopping reason); the single-run metrics return
         ``None``.
+
+        ``runs`` is a batch's run plan (see :func:`run_sweeps`): it maps
+        a run key to ``(instance, RunResult)``, and a single-run metric
+        whose run is in it reads that result instead of executing.
+        Holding the instance keeps its ``id()`` in the key valid while
+        the plan lives.  ``None`` (the default) always executes.
         """
         if self.measure is not None:
             return float(self.measure(instance, param)), None
@@ -214,15 +225,31 @@ class SweepSpec:
                 "ci_high": high,
                 "stopped": result.stopped,
             }
-        nodes = None if self.nodes is None else self.nodes(instance, param)
-        result = backend.run(
-            instance,
-            self.algorithm_factory(),
-            nodes,
-            seed=self.seed,
-            max_volume=self.max_volume,
-            max_queries=self.max_queries,
+        nodes = (
+            None if self.nodes is None else tuple(self.nodes(instance, param))
         )
+        key = (
+            id(instance),
+            self.algorithm_factory,
+            nodes,
+            self.seed,
+            self.max_volume,
+            self.max_queries,
+        )
+        shared = None if runs is None else runs.get(key)
+        if shared is None:
+            result = backend.run(
+                instance,
+                self.algorithm_factory(),
+                nodes,
+                seed=self.seed,
+                max_volume=self.max_volume,
+                max_queries=self.max_queries,
+            )
+            if runs is not None:
+                runs[key] = (instance, result)
+        else:
+            result = shared[1]
         return float(getattr(result, f"max_{self.metric}")), None
 
 
@@ -476,6 +503,7 @@ def run_sweep(
     progress: Optional[Callable[[str], None]] = None,
     journal: Optional[Journal] = None,
     store=None,
+    runs: Optional[Dict] = None,
 ) -> SweepResult:
     """Execute one sweep (or serve it from the cache or result store).
 
@@ -492,6 +520,10 @@ def run_sweep(
     a re-run against a populated store executes nothing.  A fully
     store-served result sets :attr:`SweepResult.from_store` (and
     counts as a cache hit in summaries, since no measurement ran).
+
+    ``runs`` is the run plan :func:`run_sweeps` shares across its batch;
+    a point whose run is already in it reads that ``RunResult`` (its
+    ``elapsed`` is the lookup time) and is otherwise an ordinary point.
     """
     backend = get_backend(backend)
     spec_key = spec.cache_key()
@@ -559,7 +591,9 @@ def run_sweep(
             continue
         instance = spec.family.instance(param)
         started = time.perf_counter()
-        cost, detail = spec.measure_point_detailed(instance, param, backend)
+        cost, detail = spec.measure_point_detailed(
+            instance, param, backend, runs=runs
+        )
         elapsed = time.perf_counter() - started
         # Normalize the detail dict the way persistence will, so a
         # fresh result and its cache/store-restored twin are identical
@@ -651,6 +685,12 @@ def run_sweeps(
     ``store`` (a :class:`~repro.corpus.results.ResultStore`) persists
     every executed point across runs and serves stored points back;
     see :func:`run_sweep`.
+
+    Within the batch, each distinct single-run measurement executes
+    once: specs whose ``volume``/``distance``/``queries`` points read the
+    same run (same instance object, algorithm factory, start nodes, seed
+    and budgets) share its ``RunResult``.  Custom ``measure`` callables
+    and ``success_rate`` points always execute.
     """
     # A backend constructed *here* (from a spec string) is owned here:
     # a process pool nobody else can reach must not outlive the batch.
@@ -669,11 +709,15 @@ def run_sweeps(
         else:
             jour = open_sweep_journal(journal, specs)
             owned_journal = True
+    # The batch's run plan (see SweepSpec._measure): one execution per
+    # distinct run, read by every point that measures it.  Dropped on
+    # return; nothing persists beyond the batch.
+    runs: Dict = {}
     try:
         results = [
             run_sweep(
                 s, backend, cache=cache, progress=progress, journal=jour,
-                store=store,
+                store=store, runs=runs,
             )
             for s in specs
         ]
